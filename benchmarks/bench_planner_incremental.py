@@ -24,9 +24,8 @@ Measures the live planner against the frozen pre-PR hot path
   ``RUSH_FULL_SCALE=1``; the CI bench-smoke lane runs 1k only).  The
   legacy baseline is timed at the 1k gate scale only — at 5k+ it would
   dominate the run for no extra information.  Gates: >= 4x cold
-  speedup vs legacy at 1k, cold == warm plans bit-identical at every
-  scale, and (at 1k) a 2-worker ``ParallelPlanner`` byte-identical to
-  the serial path.
+  speedup vs legacy at 1k, and cold == warm plans bit-identical at every
+  scale.
 
 Every scenario also asserts *plan equivalence*: the incremental planner
 (memo + presolve) reproduces the live cold plan bit-identically, and the
@@ -52,7 +51,6 @@ import numpy as np
 from repro import (
     GaussianEstimator,
     IncrementalPlanner,
-    ParallelPlanner,
     PlannerJob,
     RushPlanner,
     SchedulePlan,
@@ -303,16 +301,11 @@ def bench_scale_sweep() -> Dict:
                              rounds=reps)
             row["legacy_cold_seconds"] = legacy_s
             row["cold_speedup_vs_legacy"] = legacy_s / cold_s
-            with ParallelPlanner(_live_planner(), workers=2,
-                                 warm_start=False) as parallel:
-                row["parallel_identical"] = plans_equal(
-                    parallel.plan(jobs), cold_plan)
         rows.append(row)
     gate_row = next(r for r in rows if r["jobs"] == SCALE_GATE_JOBS)
     return {"counts": list(SCALE_COUNTS), "sweep": rows,
             "gate_jobs": SCALE_GATE_JOBS,
-            "cold_speedup_at_gate": gate_row["cold_speedup_vs_legacy"],
-            "parallel_identical": gate_row["parallel_identical"]}
+            "cold_speedup_at_gate": gate_row["cold_speedup_vs_legacy"]}
 
 
 def run_all() -> Dict:
@@ -368,11 +361,9 @@ def run_all() -> Dict:
               + table + "\n\n" + scale_table
               + "\n\nGates: steady state >= %.1fx, cold sweep >= %.1fx, "
               "scale sweep >= %.1fx cold at %d jobs, obs overhead <= "
-              "%.2fx.  Plans bit-identical in every scenario checked "
-              "(2-worker parallel planner included at the gate scale: %s).\n"
+              "%.2fx.  Plans bit-identical in every scenario checked.\n"
               % (SPEEDUP_GATE_STEADY, SPEEDUP_GATE_COLD,
-                 SPEEDUP_GATE_SCALE, SCALE_GATE_JOBS, OBS_OVERHEAD_GATE,
-                 "identical" if scale["parallel_identical"] else "DIVERGED")
+                 SPEEDUP_GATE_SCALE, SCALE_GATE_JOBS, OBS_OVERHEAD_GATE)
               + obs_line)
     print("\n" + report)
     write_report("planner.txt", report)
@@ -397,8 +388,6 @@ def test_incremental_planner_benchmark_gates():
     scale = payload["scale_sweep"]
     assert all(r["plans_bit_identical"] for r in scale["sweep"]), (
         "cold/warm plan divergence in the scale sweep")
-    assert scale["parallel_identical"], (
-        "2-worker ParallelPlanner diverged from the serial plan")
     assert scale["cold_speedup_at_gate"] >= SPEEDUP_GATE_SCALE, (
         "cold speedup %.2fx at %d jobs below the %.1fx gate"
         % (scale["cold_speedup_at_gate"], SCALE_GATE_JOBS,

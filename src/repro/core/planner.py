@@ -266,17 +266,11 @@ class RushPlanner:
         memoization (every solve pays the full bisection).  The cache
         never changes results — an entry is keyed by everything the solve
         depends on — so this is purely a speed/memory dial.
-    batch_wcde:
-        Route stage 1 through the vectorized :func:`~repro.core.wcde
-        .solve_wcde_batch` sweep (the default).  ``False`` falls back to
-        the scalar per-job solve — element-wise identical by the batch
-        equivalence property, kept as an A/B and debugging lever
-        (surfaced as ``rush simulate --no-batch``).
     """
 
     def __init__(self, capacity: int, *, theta: float = 0.9, delta: float = 0.7,
                  tolerance: float = 0.01, compensate_runtime: bool = True,
-                 wcde_cache_size: int = 4096, batch_wcde: bool = True) -> None:
+                 wcde_cache_size: int = 4096) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         if not 0.0 <= theta <= 1.0:
@@ -293,7 +287,6 @@ class RushPlanner:
         self.delta = delta
         self.tolerance = tolerance
         self.compensate_runtime = compensate_runtime
-        self.batch_wcde = batch_wcde
         self.wcde_cache: Optional[WcdeCache] = (
             WcdeCache(wcde_cache_size) if wcde_cache_size else None)
 
@@ -376,16 +369,7 @@ class RushPlanner:
                         "planning round exceeded its time budget during the "
                         "WCDE stage")
                 pmfs = [job.estimate.pmf for job in group]
-                if not self.batch_wcde:
-                    # Scalar A/B path: one solve per job, same answers.
-                    if cache is not None:
-                        solved = [cache.solve(pmf, self.theta, resolved)
-                                  for pmf in pmfs]
-                    else:
-                        solved = [solve_wcde(pmf, self.theta, resolved,
-                                             need_worst_pmf=False)
-                                  for pmf in pmfs]
-                elif cache is not None:
+                if cache is not None:
                     solved = cache.solve_batch(pmfs, self.theta, resolved)
                 else:
                     solved = solve_wcde_batch(pmfs, self.theta, resolved)
@@ -515,23 +499,6 @@ class IncrementalPlanner:
     def forget(self, job_id: str) -> None:
         """Drop a departed job's state."""
         self._memo.pop(job_id, None)
-
-    def pending_jobs(self, jobs: Sequence[PlannerJob]) -> List[PlannerJob]:
-        """The jobs the next :meth:`plan` call will *not* presolve.
-
-        Pure query (no counter or memo changes): a job is pending unless
-        the memo holds the identical estimate object under the same
-        per-job delta.  :class:`~repro.core.parallel.ParallelPlanner`
-        uses this to ship exactly the to-be-solved set to its worker
-        pool ahead of the round.
-        """
-        pending: List[PlannerJob] = []
-        for job in jobs:
-            memo = self._memo.get(job.job_id)
-            if not (memo is not None and memo.estimate is job.estimate
-                    and memo.delta == job.delta):
-                pending.append(job)
-        return pending
 
     def reset(self) -> None:
         """Drop all incremental state (presolves and warm-start hints)."""

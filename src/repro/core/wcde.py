@@ -445,33 +445,6 @@ class WcdeCache:
                             labels=("outcome",)).labels(
                                 "presolve_reuse").inc(count)
 
-    def peek(self, reference: Pmf, theta: float,
-             delta: float) -> Optional[WcdeResult]:
-        """Return the cached entry without touching counters or LRU order.
-
-        Used by :class:`~repro.core.parallel.ParallelPlanner` to decide
-        what to ship to the worker pool; a peek is not a lookup the
-        planning round performs, so it must not skew hit-rate telemetry.
-        """
-        return self._entries.get(
-            (reference.fingerprint(), float(theta), float(delta)))
-
-    def install(self, reference: Pmf, theta: float, delta: float,
-                result: WcdeResult) -> None:
-        """Insert an externally computed solve (no counter changes).
-
-        The entry point for pool workers and the sqlite store: results
-        proven identical to a fresh solve are seeded into the LRU so the
-        serial round that follows hits them.  Counters are untouched —
-        the install is attributed by the ``rush_parallel_*`` metrics
-        instead.
-        """
-        key = (reference.fingerprint(), float(theta), float(delta))
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
     def solve(self, reference: Pmf, theta: float, delta: float) -> WcdeResult:
         """Memoized :func:`solve_wcde` with the lazy-``worst_pmf`` path."""
         key = (reference.fingerprint(), float(theta), float(delta))

@@ -711,10 +711,10 @@ class SeededPoolInitializerRule(Rule):
     entropy-seeded — either way it is hidden state RL001's discipline
     never sees, because the call sites live in the worker.  Every pool
     constructed inside a deterministic package must therefore install a
-    seeding ``initializer=`` (e.g. :func:`repro.core.parallel
-    .seed_worker`) that pins the stdlib and numpy global streams before
-    any task runs.  The check is syntactic: a call whose terminal name
-    is ``ProcessPoolExecutor`` without an ``initializer`` keyword is
+    seeding ``initializer=`` — a function that pins the stdlib and numpy
+    global streams from a seed argument before any task runs.  The
+    check is syntactic: a call whose terminal name is
+    ``ProcessPoolExecutor`` without an ``initializer`` keyword is
     flagged; a ``**kwargs`` splat is given the benefit of the doubt.
     """
 
@@ -738,8 +738,8 @@ class SeededPoolInitializerRule(Rule):
                     ctx, call,
                     "ProcessPoolExecutor(...) without initializer= "
                     "forks hidden global RNG state into workers; pass "
-                    "a seeding initializer (see repro.core.parallel"
-                    ".seed_worker)")
+                    "an initializer that seeds random and numpy's "
+                    "global streams")
 
 
 @register_rule

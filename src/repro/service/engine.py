@@ -76,6 +76,10 @@ class ServiceConfig:
     fault_spec: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scheduler_options, Mapping):
+            raise ConfigurationError(
+                "scheduler_options must be a JSON object of keyword "
+                f"options, got {type(self.scheduler_options).__name__}")
         if self.policy != "capacity" and self.policy not in POLICY_BUILDERS:
             known = ", ".join(sorted(POLICY_BUILDERS) + ["capacity"])
             raise ConfigurationError(
@@ -121,8 +125,13 @@ class ServiceEngine:
         if config.policy == "capacity":
             self.scheduler: Scheduler = self.registry.capacity_scheduler()
         else:
-            self.scheduler = POLICY_BUILDERS[config.policy](
-                **dict(config.scheduler_options))
+            try:
+                self.scheduler = POLICY_BUILDERS[config.policy](
+                    **dict(config.scheduler_options))
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"bad scheduler_options for policy {config.policy!r}: "
+                    f"{exc}") from None
         faults = (FaultPlan.from_spec(config.fault_spec)
                   if config.fault_spec is not None else None)
         self.events = QueueEventSource()
@@ -447,6 +456,3 @@ class ServiceEngine:
         if self.wal is not None:
             self.wal.close()  # final flush+fsync before the engine goes
             self.wal = None
-        closer = getattr(self.scheduler, "close", None)
-        if closer is not None:
-            closer()

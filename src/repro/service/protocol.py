@@ -102,7 +102,15 @@ def _opt_float(payload: Mapping[str, Any], field: str,
         return default
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"field '{field}' must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    # json.loads accepts Infinity/NaN; an explicit non-finite value would
+    # be journaled and then fail every tick that plans the job.
+    _require(math.isfinite(number),
+             f"field '{field}' must be a finite number, got {number!r}")
+    return number
 
 
 def parse_submit(payload: object) -> SubmitRequest:

@@ -17,6 +17,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_planner_flags_rejected(self):
+        for flag in (["--parallel", "2"], ["--batch"],
+                     ["--wcde-store", "w.db"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", "--trace", "x"] + flag)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -111,3 +117,20 @@ class TestPlan:
                        "--capacity", "4", "--html", str(page))
         assert code == 0
         assert page.read_text().startswith("<!DOCTYPE html>")
+
+
+class TestServeConfigErrors:
+    @pytest.mark.parametrize("options, needle", [
+        ('{"thetaa": 0.9}', "thetaa"),
+        ('{"parallel_seed": 2}', "parallel_seed"),
+        ('[0.9]', "must be a JSON object"),
+        ('{"theta": 0.9', "--scheduler-options is not valid JSON"),
+    ])
+    def test_bad_scheduler_options_exit_2_with_one_line(self, capsys,
+                                                        options, needle):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", options)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1

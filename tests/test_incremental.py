@@ -280,25 +280,6 @@ class TestIncrementalEquivalence:
         cache.clear()
         assert cache.presolve_reuses == 0
 
-    def test_pending_jobs_is_a_pure_query(self):
-        raw_jobs = [
-            PlannerJob(f"j{i}", LinearUtility(200.0, 1.0),
-                       DemandEstimate(Pmf.from_gaussian(40 + i, 6, tau_max=120),
-                                      bin_width=1.0, container_runtime=5.0,
-                                      sample_count=4))
-            for i in range(3)]
-        warm = IncrementalPlanner(RushPlanner(16), warm_start=False)
-        assert warm.pending_jobs(raw_jobs) == raw_jobs
-        assert warm.presolve_hits == 0 and warm.presolve_misses == 0
-        warm.plan(raw_jobs)
-        assert warm.pending_jobs(raw_jobs) == []
-        churned = PlannerJob(
-            raw_jobs[0].job_id, raw_jobs[0].utility,
-            DemandEstimate(Pmf.from_gaussian(55, 6, tau_max=120),
-                           bin_width=1.0, container_runtime=5.0,
-                           sample_count=5))
-        assert warm.pending_jobs([churned] + raw_jobs[1:]) == [churned]
-
     def test_forget_drops_presolve_entry(self):
         job = PlannerJob("solo", LinearUtility(200.0, 1.0),
                          DemandEstimate(Pmf.from_gaussian(40, 6, tau_max=120),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from contextlib import asynccontextmanager
 
 import pytest
@@ -34,6 +35,7 @@ from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
 from repro.service import (RealTimeClock, ServiceClient, ServiceConfig,
                            ServiceDaemon, ServiceEngine, ServiceRequestError,
                            TenantSpec, restore_engine, take_snapshot)
+from repro.service.protocol import parse_submit
 from repro.service.smoke import run_service_smoke
 from repro.service.snapshot import SnapshotError
 
@@ -216,6 +218,57 @@ def test_engine_rejects_past_arrivals_and_ticks():
         engine.job_status("nobody")
     auto = engine.submit(dict(JOB))
     assert auto["job_id"] == "default-1"  # auto-assigned, tenant-prefixed
+
+
+NUMERIC_FIELDS = ("budget", "failure_prob", "prior_runtime", "priority",
+                  "benchmark_runtime")
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400],
+                         ids=["inf", "-inf", "nan", "int-beyond-float"])
+def test_parse_submit_rejects_non_finite_numbers(field, value):
+    with pytest.raises(BadRequestError,
+                       match=f"field '{field}' must be a finite number"):
+        parse_submit(dict(JOB, **{field: value}))
+
+
+def test_parse_submit_keeps_absent_numeric_defaults():
+    request = parse_submit({"task_durations": [2]})
+    assert request.budget == math.inf
+    assert math.isnan(request.benchmark_runtime)
+    assert request.prior_runtime is None
+
+
+def test_non_finite_submit_is_a_400_naming_the_field():
+    async def scenario():
+        async with serving() as (_daemon, client):
+            with pytest.raises(ServiceRequestError) as err:
+                # The client's json.dumps writes the bare token Infinity.
+                await client.submit(dict(JOB, prior_runtime=math.inf))
+            assert (err.value.status, err.value.code) == (400, "bad-request")
+            assert "prior_runtime" in str(err.value)
+            assert await client.jobs() == []
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("options, name", [
+    ({"thetaa": 0.9}, "thetaa"),
+    ({"parallel_seed": 2}, "parallel_seed"),
+    ({"wcde_cache_size": 0}, "wcde_cache_size"),
+])
+def test_unknown_scheduler_option_is_a_configuration_error(options, name):
+    config = ServiceConfig(capacity=2, policy="rush",
+                           scheduler_options=options)
+    with pytest.raises(ConfigurationError, match=name):
+        ServiceEngine(config)
+
+
+def test_scheduler_options_must_be_a_mapping():
+    with pytest.raises(ConfigurationError, match="scheduler_options"):
+        ServiceConfig(capacity=2, policy="rush",
+                      scheduler_options=[["theta", 0.9]])
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ refused, mid-body EOF, the never-retry rule for ``/tick``).
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import socket
 from contextlib import asynccontextmanager
 
 import pytest
 
+from repro.errors import BadRequestError
 from repro.service import (ServiceClient, ServiceConfig, ServiceDaemon,
                            ServiceEngine, ServiceUnavailableError,
                            open_journal)
@@ -76,6 +78,27 @@ def test_sigterm_drains_flushes_and_recovers(tmp_path):
         recovered = {str(job["job_id"]) for job in engine.list_jobs()}
         assert set(job_ids) <= recovered
         assert engine.slot == 2
+    finally:
+        engine.close()
+
+
+def test_non_finite_submit_writes_no_journal_record(tmp_path):
+    """An Infinity prior would fail every later tick and every replay."""
+    journal_dir = str(tmp_path / "wal")
+    engine, writer = open_journal(journal_dir, _config(policy="rush"))
+    try:
+        engine.submit(_crash_payload(0))
+        seq = writer.seq
+        with pytest.raises(BadRequestError, match="prior_runtime"):
+            engine.submit(dict(_crash_payload(1), prior_runtime=math.inf))
+        assert writer.seq == seq
+        engine.tick(2)
+    finally:
+        engine.close()
+    engine, _writer = open_journal(journal_dir)
+    try:
+        engine.tick()
+        assert [job["job_id"] for job in engine.list_jobs()] == ["default-1"]
     finally:
         engine.close()
 

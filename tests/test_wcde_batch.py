@@ -5,8 +5,8 @@ and runs the wide rows' bisections in masked lockstep; neither transform
 may change any answer.  These properties pin the equivalence across
 random PMF batches, thetas and deltas — including the degenerate
 single-bin reference and deliberately mixed-length batches where the
-padding actually kicks in — plus the batch-composition invariance the
-process-pool sharding relies on.
+padding actually kicks in — plus batch-composition invariance: how a
+batch is split never changes any row.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class TestBatchEqualsScalar:
     @given(pmf_batches, st.integers(min_value=1, max_value=4),
            thetas, deltas)
     def test_batch_composition_invariance(self, raws, chunks, theta, delta):
-        """Sharding a batch never changes any row (the pool contract)."""
+        """Sharding a batch never changes any row."""
         references = [Pmf(raw, normalize=True) for raw in raws]
         whole = solve_wcde_batch(references, theta, delta)
         size = -(-len(references) // chunks)
@@ -130,6 +130,25 @@ class TestCacheBatchAccounting:
                (sequential.hits, sequential.misses) == (2, 2)
         assert [r.eta_bin for r in results] == \
                [r.eta_bin for r in expected]
+
+    def test_misses_beyond_maxsize_keep_the_latest_solves(self):
+        """More distinct misses than ``maxsize``: the LRU bound holds."""
+        refs = [Pmf.from_gaussian(mean=40.0 + 10 * k, std=6.0, tau_max=200)
+                for k in range(5)]
+        cache = WcdeCache(maxsize=3)
+        cache.solve(refs[0], 0.9, 0.7)
+        # refs[0] hits, then four misses push it and refs[1] out.
+        results = cache.solve_batch(refs, 0.9, 0.7)
+        assert len(cache) == 3
+        assert [r.eta_bin for r in results] == \
+               [solve_wcde(r, 0.9, 0.7).eta_bin for r in refs]
+        hits, misses = cache.hits, cache.misses
+        for ref in refs[2:]:
+            cache.solve(ref, 0.9, 0.7)
+        assert (cache.hits - hits, cache.misses - misses) == (3, 0)
+        for ref in refs[:2]:
+            cache.solve(ref, 0.9, 0.7)
+        assert cache.misses - misses == 2
 
     def test_worst_case_demand_unchanged(self, gaussian_pmf):
         """The convenience wrapper still routes through the scalar path."""
